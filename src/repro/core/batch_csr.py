@@ -292,6 +292,21 @@ class BatchCsr:
             check=False,
         )
 
+    def slice_batch(self, start: int, stop: int) -> "BatchCsr":
+        """Zero-copy view of the contiguous systems ``start:stop``.
+
+        The values are a leading-axis slice of this batch's values and the
+        shared sparsity pattern is reused by reference, so nothing is
+        copied.
+        """
+        return BatchCsr(
+            self.num_cols,
+            self._row_ptrs,
+            self._col_idxs,
+            self._values[start:stop],
+            check=False,
+        )
+
     def scale_values(self, factor: float | np.ndarray) -> "BatchCsr":
         """Return a new batch with values scaled per system (or globally)."""
         factor = np.asarray(factor, dtype=self._values.dtype)

@@ -165,6 +165,10 @@ class BatchDense:
             return BatchDense(dst)
         return BatchDense(bk.take(self._values, indices))
 
+    def slice_batch(self, start: int, stop: int) -> "BatchDense":
+        """Zero-copy view of the contiguous systems ``start:stop``."""
+        return BatchDense(self._values[start:stop])
+
     # -- matrix-vector products -------------------------------------------
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

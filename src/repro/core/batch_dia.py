@@ -263,6 +263,16 @@ class BatchDia:
             gathered = bk.take(self._values, indices)
         return BatchDia(self.num_cols, self._offsets, gathered, check=False)
 
+    def slice_batch(self, start: int, stop: int) -> "BatchDia":
+        """Zero-copy view of the contiguous systems ``start:stop``.
+
+        The bands are a leading-axis slice of this batch's values and the
+        shared offsets are reused by reference, so nothing is copied.
+        """
+        return BatchDia(
+            self.num_cols, self._offsets, self._values[start:stop], check=False
+        )
+
     def scale_values(self, factor: float | np.ndarray) -> "BatchDia":
         """Return a new batch with values scaled per system (or globally)."""
         factor = np.asarray(factor, dtype=self._values.dtype)

@@ -223,6 +223,16 @@ class BatchEll:
             gathered = bk.take(self._values, indices)
         return BatchEll(self.num_cols, self._col_idxs, gathered, check=False)
 
+    def slice_batch(self, start: int, stop: int) -> "BatchEll":
+        """Zero-copy view of the contiguous systems ``start:stop``.
+
+        The values are a leading-axis slice of this batch's values and the
+        shared ELL pattern is reused by reference, so nothing is copied.
+        """
+        return BatchEll(
+            self.num_cols, self._col_idxs, self._values[start:stop], check=False
+        )
+
     def scale_values(self, factor: float | np.ndarray) -> "BatchEll":
         """Return a new batch with values scaled per system (or globally)."""
         factor = np.asarray(factor, dtype=self._values.dtype)

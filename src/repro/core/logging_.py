@@ -106,6 +106,30 @@ class BatchLogger:
         self._iterations[unconverged & ~self._halted] = max_iter
         self._res_norms[unconverged] = res_norms[unconverged]
 
+    def snapshot(self) -> tuple:
+        """``(iterations, halted, res_norms)`` of the latest solve.
+
+        The arrays are the logger's own; :meth:`initialize` binds fresh
+        ones, so a snapshot survives later solves unchanged.
+        """
+        return self._iterations, self._halted, self._res_norms
+
+    def restore(
+        self,
+        iterations: np.ndarray,
+        halted: np.ndarray,
+        res_norms: np.ndarray,
+        *,
+        history: list | None = None,
+    ) -> None:
+        """Load a whole batch's record (the merged chunks of a solve)."""
+        self._num_batch = iterations.shape[0]
+        self._iterations = iterations
+        self._halted = halted
+        self._res_norms = res_norms
+        if self._history is not None:
+            self._history = list(history or [])
+
     # -- user-facing API -----------------------------------------------------
 
     @property

@@ -17,6 +17,9 @@ design translated to NumPy:
 
 from __future__ import annotations
 
+import functools
+import pathlib
+
 from ...utils.validation import as_value_array, check_positive
 from ..backend import backend_of, host as np
 from ..batch_dense import batch_norm2
@@ -46,6 +49,66 @@ __all__ = [
 #: Sentinel a loop body returns to stop iterating mid-trip (every system
 #: froze before the iteration tail — the driver records the skipped tail).
 STOP = object()
+
+
+#: Per-core L2 size assumed when the platform does not report one.
+_L2_FALLBACK_BYTES = 1 << 20
+
+#: How many per-core L2 caches of per-system working set one cache-blocked
+#: chunk holds.  Swept on the proxy app (n = 992, DIA and ELL); see
+#: ``docs/performance_model.md`` ("Host cache blocking").
+_CHUNK_CACHE_MULTIPLE = 4.0
+
+
+@functools.lru_cache(maxsize=1)
+def _l2_cache_bytes() -> int:
+    """Per-core L2 cache size in bytes, from Linux sysfs or a fallback."""
+    cache = pathlib.Path("/sys/devices/system/cpu/cpu0/cache")
+    try:
+        for index in sorted(cache.glob("index*")):
+            if (index / "level").read_text().strip() != "2":
+                continue
+            size = (index / "size").read_text().strip().upper()
+            scale = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}.get(size[-1:], 1)
+            return int(size.rstrip("KMG")) * scale
+    except (OSError, ValueError):
+        pass
+    return _L2_FALLBACK_BYTES
+
+
+def _merge_results(parts: list[SolveResult]) -> SolveResult:
+    """One result for a batch solved as consecutive chunks.
+
+    Per-system arrays concatenate in chunk order.  Residual histories are
+    extended with each chunk's final norms to the longest chunk's length —
+    exactly what a whole-batch history holds, since frozen systems keep
+    their final norms while the rest of the batch iterates.
+    """
+    first = parts[0]
+    history = None
+    if first.residual_history is not None:
+        length = max(len(p.residual_history) for p in parts)
+        history = [
+            np.concatenate([
+                p.residual_history[t] if t < len(p.residual_history)
+                else p.residual_norms
+                for p in parts
+            ])
+            for t in range(length)
+        ]
+    return SolveResult(
+        x=np.concatenate([p.x for p in parts]),
+        iterations=np.concatenate([p.iterations for p in parts]),
+        residual_norms=np.concatenate([p.residual_norms for p in parts]),
+        converged=np.concatenate([p.converged for p in parts]),
+        solver=first.solver,
+        format=first.format,
+        residual_history=history,
+        health=(
+            None if first.health is None
+            else np.concatenate([p.health for p in parts])
+        ),
+    )
 
 
 def safe_divide(
@@ -114,6 +177,10 @@ class BatchedIterativeSolver:
     """
 
     name = "abstract"
+    #: Whether a large host batch may be solved in cache-blocked chunks.
+    #: Solvers whose control flow couples systems (GMRES: restart cycles
+    #: end when the whole batch's cycle has converged) must opt out.
+    chunkable = True
 
     def __init__(
         self,
@@ -148,7 +215,8 @@ class BatchedIterativeSolver:
         #: iteration driver's ``finish``; needed because device backends
         #: rebind ``x`` functionally instead of updating it in place).
         self._final_x: np.ndarray | None = None
-        self._last_compactor: BatchCompactor | None = None
+        #: Compaction events of the latest solve, summed over its chunks.
+        self._compaction_events = 0
         self.last_op_stats: OpStats | None = None
         #: Per-system :class:`~repro.core.faults.SolverHealth` codes of the
         #: most recent solve (set by the iteration driver).
@@ -212,6 +280,17 @@ class BatchedIterativeSolver:
         -------
         :class:`~repro.core.types.SolveResult` with per-system iteration
         counts, residual norms and convergence flags.
+
+        Notes
+        -----
+        On the host backend a batch larger than :meth:`_chunk_rows` is
+        *cache-blocked*: the whole Krylov solve runs on contiguous chunks
+        of the batch in turn, each in one chunk-sized workspace (leading
+        rows of ``workspace`` when one is given), so an iteration's
+        vectors stay in cache.  Systems are independent, so every
+        per-system output is bit-identical to the whole-batch solve; the
+        merged result, ``last_health``, ``last_op_stats`` and
+        ``last_compaction_events`` cover the whole batch.
         """
         shape: BatchShape = matrix.shape
         shape.require_square()
@@ -226,30 +305,46 @@ class BatchedIterativeSolver:
         # NumPy arrays keep the (bit-identical) host path.
         bk = backend_of(getattr(matrix, "values", None), b)
 
-        if workspace is not None:
-            if not workspace.matches(
-                shape.num_batch, shape.num_rows, policy.storage_dtype, bk
-            ):
-                raise DimensionMismatch(
-                    f"workspace is sized ({workspace.num_batch}, "
-                    f"{workspace.num_rows}, {workspace.dtype}, "
-                    f"{workspace.backend.name}) but the batch needs "
-                    f"({shape.num_batch}, {shape.num_rows}, "
-                    f"{policy.storage_dtype}, {bk.name})"
-                )
-            ws = workspace
-        else:
-            ws = self._get_workspace(shape.num_batch, shape.num_rows, policy, bk)
-        x = ws.vector("x")
-        if x0 is None:
-            x = bk.fill(x, 0.0)
-        else:
+        if workspace is not None and not workspace.matches(
+            shape.num_batch, shape.num_rows, policy.storage_dtype, bk
+        ):
+            raise DimensionMismatch(
+                f"workspace is sized ({workspace.num_batch}, "
+                f"{workspace.num_rows}, {workspace.dtype}, "
+                f"{workspace.backend.name}) but the batch needs "
+                f"({shape.num_batch}, {shape.num_rows}, "
+                f"{policy.storage_dtype}, {bk.name})"
+            )
+        if x0 is not None:
             x0 = as_value_array(x0, "x0", ndim=2, dtype=policy.storage_dtype)
             shape.compatible_vector(x0, "x0")
-            x = bk.copyto(x, x0)
+
+        self._compaction_events = 0
+        chunk = self._chunk_rows(matrix, bk)
+        if chunk >= shape.num_batch:
+            if workspace is None:
+                workspace = self._get_workspace(
+                    shape.num_batch, shape.num_rows, policy, bk
+                )
+            return self._solve_batch(matrix, b, x0, workspace)
+        if workspace is None:
+            workspace = self._get_workspace(chunk, shape.num_rows, policy, bk)
+        else:
+            workspace = workspace.leading(chunk)
+        return self._solve_chunks(matrix, b, x0, workspace)
+
+    # -- the solve paths ------------------------------------------------------
+
+    def _solve_batch(
+        self, matrix, b: np.ndarray, x0: np.ndarray | None, ws: SolverWorkspace
+    ) -> SolveResult:
+        """One driver run over the whole of ``matrix`` in workspace ``ws``."""
+        bk = ws.backend
+        x = ws.vector("x")
+        x = bk.fill(x, 0.0) if x0 is None else bk.copyto(x, x0)
 
         precond = self.preconditioner.generate(matrix)
-        self.logger.initialize(shape.num_batch)
+        self.logger.initialize(matrix.shape.num_batch)
         self.last_health = None
         self._final_x = None
 
@@ -269,6 +364,65 @@ class BatchedIterativeSolver:
             health=(
                 None if self.last_health is None else self.last_health.copy()
             ),
+        )
+
+    def _solve_chunks(
+        self, matrix, b: np.ndarray, x0: np.ndarray | None, ws: SolverWorkspace
+    ) -> SolveResult:
+        """Run :meth:`_solve_batch` on consecutive ``ws``-sized chunks.
+
+        Each chunk is a zero-copy slice of the matrix values, ``b`` and
+        ``x0``; the ragged last chunk runs in leading rows of ``ws``.  The
+        chunk results, logger records, health codes and op stats are
+        merged in chunk order (:func:`_merge_results`).
+        """
+        num_batch = matrix.shape.num_batch
+        parts, records = [], []
+        stats = OpStats(solves=0)
+        for start in range(0, num_batch, ws.num_batch):
+            stop = min(start + ws.num_batch, num_batch)
+            parts.append(self._solve_batch(
+                matrix.slice_batch(start, stop),
+                b[start:stop],
+                None if x0 is None else x0[start:stop],
+                ws.leading(stop - start),
+            ))
+            records.append(self.logger.snapshot())
+            stats.absorb(self.last_op_stats)
+        result = _merge_results(parts)
+        self.logger.restore(
+            *(np.concatenate(arrays) for arrays in zip(*records)),
+            history=result.residual_history,
+        )
+        self.last_health = None if result.health is None else result.health.copy()
+        self.last_op_stats = stats
+        return result
+
+    def _chunk_rows(self, matrix, bk) -> int:
+        """Systems per cache-blocked chunk for this solve.
+
+        A chunk holds ``_CHUNK_CACHE_MULTIPLE`` per-core L2 caches' worth
+        of :meth:`_system_bytes`.  Device backends, formats without
+        ``slice_batch`` and solvers that couple systems
+        (``chunkable = False``) always run whole.
+        """
+        num_batch = matrix.shape.num_batch
+        if num_batch < 2 or not (
+            self.chunkable and bk.is_host and hasattr(matrix, "slice_batch")
+        ):
+            return num_batch
+        budget = int(_CHUNK_CACHE_MULTIPLE * _l2_cache_bytes())
+        return max(1, budget // self._system_bytes(matrix))
+
+    def _system_bytes(self, matrix) -> int:
+        """Per-system working set of one iteration: the matrix's stored
+        value bytes plus one row of every workspace vector the solver's
+        schedule declares."""
+        values = matrix.values
+        vectors = len(self.op_schedule().workspace_names())
+        return (
+            values.nbytes // values.shape[0]
+            + vectors * matrix.shape.num_rows * values.dtype.itemsize
         )
 
     # -- shared helpers ---------------------------------------------------------
@@ -310,13 +464,13 @@ class BatchedIterativeSolver:
             min_batch=self.compact_min_batch,
             enabled=hasattr(matrix, "take_batch"),
         )
-        self._last_compactor = comp
         return comp
 
     @property
     def last_compaction_events(self) -> int:
-        """Number of compaction events during the most recent solve."""
-        return 0 if self._last_compactor is None else self._last_compactor.num_events
+        """Number of compaction events during the most recent solve
+        (summed over its chunks when cache-blocked)."""
+        return self._compaction_events
 
     def _init_monitor(
         self, matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray
@@ -427,8 +581,13 @@ class IterationDriver:
             vector_names = tuple(
                 n for n in schedule.workspace_names() if n != "x"
             )
+        # true_r starts zeroed: candidate-only verification rewrites just
+        # the candidates' rows, and the rest must hold finite values for
+        # restart callbacks that sweep the whole array.
         for name in vector_names:
-            st.register_vector(name, ws.vector(name, zero=name in zero))
+            st.register_vector(
+                name, ws.vector(name, zero=name in zero or name == "true_r")
+            )
         st.register_vector("x", x)
         self.state = st
 
@@ -516,6 +675,7 @@ class IterationDriver:
         x_full = self._x_full if self.comp.compacted else self.state.x
         self._x_full = self.comp.finalize(x_full, self.state.x)
         self.solver._final_x = self._x_full
+        self.solver._compaction_events += self.comp.num_events
         self.logger.finalize(self.final_norms, ~self.converged, self.solver.max_iter)
         self.health[self.converged] = SolverHealth.CONVERGED
         return self.final_norms, self.converged
@@ -607,8 +767,7 @@ class IterationDriver:
         """
         st = self.state
         self.stats.verify_events += 1
-        st.true_r = true_r = residual(st.matrix, st.x, st.b, out=st.true_r)
-        true_norms = batch_norm2(true_r, dtype=st.acc_dtype)
+        true_r, true_norms = self._true_residual(candidates)
         confirmed = candidates & self.comp.criterion.check(true_norms)
         if np.any(confirmed):
             self.comp.update_norms(self.final_norms, true_norms, confirmed)
@@ -621,3 +780,28 @@ class IterationDriver:
             restart(st, true_r, restarted)
             self.comp.update_norms(self.final_norms, true_norms, restarted)
         return confirmed, restarted
+
+    def _true_residual(self, candidates: np.ndarray):
+        """``(true_r, norms)``: the true residual ``b - A x`` and its norms.
+
+        Exact on the candidate rows.  When candidates are fewer than half
+        of the batch's rows and the format can gather (``take_batch``),
+        only they are recomputed — on a GPU each block verifies just its
+        own system.  The other rows of ``true_r`` then keep earlier finite
+        contents and their norms read 0; callers use candidate rows only.
+        """
+        st = self.state
+        cand = np.flatnonzero(candidates)
+        if (
+            2 * cand.size < candidates.size
+            and st.bk.is_host
+            and hasattr(st.matrix, "take_batch")
+        ):
+            sub_r = residual(st.matrix.take_batch(cand), st.x[cand], st.b[cand])
+            st.true_r[cand] = sub_r
+            sub_norms = batch_norm2(sub_r, dtype=st.acc_dtype)
+            norms = np.zeros(candidates.size, dtype=sub_norms.dtype)
+            norms[cand] = sub_norms
+            return st.true_r, norms
+        st.true_r = residual(st.matrix, st.x, st.b, out=st.true_r)
+        return st.true_r, batch_norm2(st.true_r, dtype=st.acc_dtype)

@@ -44,6 +44,11 @@ class BatchGmres(BatchedIterativeSolver):
     """
 
     name = "gmres"
+    # A cycle ends early only once every system of the batch has converged
+    # by estimate, so cycle boundaries — and with them the iteration
+    # counts of systems whose estimate was optimistic — depend on which
+    # systems share the batch.  Cache-blocked chunks would move them.
+    chunkable = False
 
     def __init__(self, *args, restart: int = 30, **kwargs) -> None:
         super().__init__(*args, **kwargs)

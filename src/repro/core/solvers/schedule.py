@@ -87,18 +87,36 @@ class OpStats:
         one entry per periodic residual-replacement event (pipelined CG
         recomputes ``r`` and ``s = A p`` every ``cycle_length`` trips) —
         either way ``cycles`` multiplies the schedule's ``cycle_*`` ops.
+    solves:
+        Driver runs this record covers: 1 for one solve, the chunk count
+        for a cache-blocked solve (each chunk pays the ``setup_*`` ops).
+
+    A cache-blocked solve merges its chunks' records with :meth:`absorb`:
+    every counter is summed (``tail_skipped`` then counts the chunks that
+    skipped their tail) and ``cycle_steps`` is concatenated in chunk
+    order, so :meth:`OpSchedule.expected_counts` stays exact.
     """
 
     trips: int = 0
     verify_events: int = 0
     restart_events: int = 0
-    tail_skipped: bool = False
+    tail_skipped: bool | int = False
     cycle_steps: list[int] = field(default_factory=list)
+    solves: int = 1
 
     @property
     def cycles(self) -> int:
         """Number of restart cycles executed (GMRES)."""
         return len(self.cycle_steps)
+
+    def absorb(self, other: "OpStats") -> None:
+        """Add another solve's record to this one (chunk merging)."""
+        self.trips += other.trips
+        self.verify_events += other.verify_events
+        self.restart_events += other.restart_events
+        self.tail_skipped = int(self.tail_skipped) + int(other.tail_skipped)
+        self.cycle_steps.extend(other.cycle_steps)
+        self.solves += other.solves
 
 
 @dataclass(frozen=True)
@@ -201,11 +219,11 @@ class OpSchedule:
 
     def expected_counts(self, stats: OpStats) -> dict[str, float]:
         """Exact operation totals for a solve with the given control flow."""
-        trim = 1.0 if stats.tail_skipped else 0.0
+        trim = float(stats.tail_skipped)
         counts: dict[str, float] = {}
         for op in _OPS:
             counts[op] = (
-                getattr(self, f"setup_{op}")
+                getattr(self, f"setup_{op}") * stats.solves
                 + getattr(self, op) * stats.trips
                 + getattr(self, f"cycle_{op}") * stats.cycles
                 - getattr(self, f"tail_{op}") * trim
@@ -217,7 +235,7 @@ class OpSchedule:
             # does s(s+1)/2, replacing the flat per-trip average.  Every
             # GMRES reduction is its own unfused round, so the sync count
             # is exactly the dot count plus the norm count.
-            counts["dots"] = self.setup_dots + sum(
+            counts["dots"] = self.setup_dots * stats.solves + sum(
                 s * (s + 1) / 2.0 for s in stats.cycle_steps
             )
             counts["syncs"] = counts["dots"] + counts["norms"]
@@ -514,9 +532,10 @@ class CountingMatrix:
 
     ``apply`` and ``advanced_apply`` increment the shared counter (the
     residual helper routes through ``apply``, so true-residual checks are
-    counted too); ``take_batch`` returns a counting wrapper around the
-    gathered sub-batch sharing the same counter, so compaction does not
-    lose events.  Every other attribute forwards to the wrapped matrix.
+    counted too); ``take_batch`` and ``slice_batch`` return a counting
+    wrapper around the sub-batch sharing the same counter, so compaction
+    and cache-blocked chunks do not lose events.  Every other attribute
+    forwards to the wrapped matrix.
     """
 
     def __init__(self, inner, counts: OpCounts | None = None) -> None:
@@ -541,13 +560,13 @@ class CountingMatrix:
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
-        if name == "take_batch":
+        if name in ("take_batch", "slice_batch"):
             counts = self.counts
 
-            def take_batch(indices, **kwargs):
-                return CountingMatrix(attr(indices, **kwargs), counts)
+            def sub_batch(*args, **kwargs):
+                return CountingMatrix(attr(*args, **kwargs), counts)
 
-            return take_batch
+            return sub_batch
         return attr
 
 

@@ -252,6 +252,21 @@ class SolverWorkspace:
             arr[...] = fill
         return arr
 
+    def leading(self, num_batch: int) -> "SolverWorkspace":
+        """A workspace over the first ``num_batch`` systems of this one.
+
+        Its vectors and scalars are leading-row views of this workspace's
+        arrays, so a smaller batch (the ragged last chunk of a
+        cache-blocked solve) runs in the same memory without allocating.
+        """
+        if num_batch == self.num_batch:
+            return self
+        if not 0 < num_batch < self.num_batch:
+            raise ValueError(
+                f"leading rows must lie in [1, {self.num_batch}], got {num_batch}"
+            )
+        return _LeadingRows(self, num_batch)
+
     @property
     def allocated_vectors(self) -> int:
         """Number of distinct vectors currently allocated."""
@@ -262,3 +277,29 @@ class SolverWorkspace:
         return sum(a.nbytes for a in self._vectors.values()) + sum(
             a.nbytes for a in self._scalars.values()
         )
+
+
+class _LeadingRows(SolverWorkspace):
+    """Leading-row view of a parent workspace (see :meth:`SolverWorkspace.leading`)."""
+
+    def __init__(self, parent: SolverWorkspace, num_batch: int) -> None:
+        super().__init__(
+            num_batch,
+            parent.num_rows,
+            dtype=parent.dtype,
+            scalar_dtype=parent.scalar_dtype,
+            backend=parent.backend,
+        )
+        self._parent = parent
+
+    def vector(self, name: str, *, zero: bool = False) -> np.ndarray:
+        arr = self._parent.vector(name)[: self.num_batch]
+        if zero and self.backend.is_host:
+            arr[...] = 0.0
+        return arr
+
+    def scalar(self, name: str, *, fill: float | None = None) -> np.ndarray:
+        arr = self._parent.scalar(name)[: self.num_batch]
+        if fill is not None:
+            arr[...] = fill
+        return arr

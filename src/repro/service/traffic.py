@@ -225,7 +225,9 @@ def serve_traffic(
     """
     import asyncio
 
-    async def _main() -> TrafficRun:
+    runs: list[TrafficRun] = []
+
+    async def _main() -> None:
         clock = VirtualClock()
         service = SolverService(
             clock=clock,
@@ -238,6 +240,11 @@ def serve_traffic(
             results = await clock.drive(run_traffic(service, pattern, spec))
         finally:
             service.close()
-        return TrafficRun(report=service.report, results=results)
+        runs.append(TrafficRun(report=service.report, results=results))
 
-    return asyncio.run(_main())
+    # The run is handed out through ``runs``, not as the task's result:
+    # on exit ``asyncio.run`` restores the SIGINT handler, and CPython
+    # 3.11 formats the main task's repr on that path — with a returned
+    # run, the repr of every request's arrays.
+    asyncio.run(_main())
+    return runs[0]

@@ -30,7 +30,6 @@ from ..core.logging_ import BatchLogger
 from ..core.solvers import EscalationSolver, RefinementSolver, make_solver
 from ..core.solvers.schedule import iterative_solver_names
 from ..core.stop import AbsoluteResidual, RelativeResidual
-from ..core.workspace import SolverWorkspace
 from ..utils.validation import check_in, check_positive
 from .assembly import CollisionStencil
 from .collision import linearized_coefficients_masses
@@ -266,15 +265,12 @@ class PicardStepper:
                 max_iter=self.options.max_linear_iter,
                 compact_threshold=self.options.compact_threshold,
             )
-        # One arena for all inner solves: the five solves of each Picard
-        # loop — and every loop of every time step — reuse these batch
-        # vectors, so the hot path performs no allocations after the first
-        # solve.  Built on the configured backend so the solver's inferred
-        # backend (from the assembled matrix values) matches the arena.
+        # The inner solver keeps its own workspace across the five solves
+        # of each Picard loop — and every loop of every time step — so the
+        # hot path allocates no batch vectors after the first solve.  On
+        # the host that workspace is one cache-blocked chunk, not the
+        # whole batch.
         self._backend = get_backend(self.options.backend)
-        self._workspace = SolverWorkspace(
-            self.num_batch, grid.num_cells, backend=self._backend
-        )
         # Per-format assembly values buffer: every re-assembly of the
         # Picard loop writes its GEMM output into the same array.  Device
         # backends assemble functionally, so the buffer stays host-only.
@@ -341,7 +337,7 @@ class PicardStepper:
                 matrix = injector.corrupt_matrix(matrix)
                 b = injector.corrupt_rhs(b)
                 x0 = injector.corrupt_guess(x0)
-            res = self._solver.solve(matrix, b, x0=x0, workspace=self._workspace)
+            res = self._solver.solve(matrix, b, x0=x0)
             converged &= res.converged
             step_health = (
                 res.health

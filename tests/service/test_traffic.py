@@ -110,3 +110,45 @@ class TestServeTraffic:
         )
         submit_times = [r.submit_time for r in run.results if r is not None]
         assert submit_times == sorted(submit_times)
+
+
+def _run_digest(run) -> str:
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=16)
+    for res in run.results:
+        if res is None:
+            h.update(b"shed")
+            continue
+        h.update(np.ascontiguousarray(res.x).tobytes())
+        h.update(np.float64(res.finish_time).tobytes())
+    return h.hexdigest()
+
+
+class TestServeTrafficTeardown:
+    def test_run_is_never_formatted_on_exit(self, monkeypatch):
+        """asyncio.run's SIGINT-handler restore formats the main task's
+        repr (CPython 3.11); the run — every request's arrays — must not
+        be part of it.  The task repr goes through ``reprlib``, which
+        swallows exceptions, so the patched reprs also record each call."""
+        from repro.service.queue import TicketResult
+        from repro.service.traffic import TrafficRun
+
+        pattern = TrafficPattern(kind="bursty", rate_hz=10_000.0,
+                                 burst_rate_hz=100_000.0, mean_dwell_s=1e-3,
+                                 duration_s=2e-3, seed=5)
+        spec = WorkloadSpec(num_rows=32, systems_choices=(1, 2))
+        expected = _run_digest(serve_traffic(pattern, spec))
+
+        formatted = []
+
+        def no_repr(self):
+            formatted.append(type(self).__name__)
+            raise AssertionError("traffic run formatted by repr()")
+
+        monkeypatch.setattr(TrafficRun, "__repr__", no_repr)
+        monkeypatch.setattr(TicketResult, "__repr__", no_repr)
+        run = serve_traffic(pattern, spec)
+        assert formatted == []
+        assert run.report.completed == run.report.submitted > 0
+        assert _run_digest(run) == expected
