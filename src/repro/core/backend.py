@@ -14,7 +14,14 @@ Two backends are provided:
     The default.  Its methods are *verbatim* the NumPy statements the
     kernels used before the seam existed — same ufunc calls, same
     ``out=``/``where=`` semantics, same operand order — so the fp64
-    NumPy path stays bit-identical to the golden pins.
+    NumPy path stays bit-identical to the golden pins.  The DIA and ELL
+    SpMV kernels are the exception in form, not in bits: they fill one
+    operand buffer per product and contract it with the values in a
+    single ``einsum``, which adds each row's slots in the same order as
+    the per-slot loop (``tests/core/test_spmv_kernels.py``).  The four
+    host SpMV kernels run with ``invalid`` floating-point warnings off:
+    a ``0 x Inf`` inside a kernel belongs to a poisoned lane the health
+    guards isolate.
 
 ``JaxBackend``
     Optional, lazily imported, jit-wrapped hot paths.  JAX arrays are
@@ -83,6 +90,37 @@ def _expand_mask(mask, dst):
     if mask.ndim == dst.ndim:
         return mask
     return mask.reshape(mask.shape + (1,) * (dst.ndim - mask.ndim))
+
+
+#: Host SpMV kernels run under this: a 0 x Inf product inside the kernel
+#: is a poisoned lane the solver's health guards already isolate, so the
+#: kernel itself stays silent instead of warning the caller.
+_quiet = np.errstate(invalid="ignore")
+
+
+def _contractible(values, x, out):
+    """Whether the single-pass slot contraction is bit-identical here.
+
+    ``np.einsum("bki,bki->bi")`` adds each row's slot products in slot
+    order onto a zeroed output — the per-slot ``out += v_k * x_k`` order —
+    only when the row axis stays its innermost loop: C-contiguous values
+    and output, more than one row, and one dtype throughout (the per-slot
+    loop promotes mixed dtypes per product).  Everything else takes the
+    per-slot loop.
+    """
+    return (
+        values.shape[2] > 1
+        and values.flags.c_contiguous
+        and x.dtype == values.dtype
+        and (out is None or (out.dtype == values.dtype and out.flags.c_contiguous))
+    )
+
+
+def _zeroed_out(values, out):
+    if out is None:
+        return np.zeros((values.shape[0], values.shape[2]), dtype=values.dtype)
+    out[...] = 0.0
+    return out
 
 
 class ArrayBackend:
@@ -182,10 +220,14 @@ class ArrayBackend:
     def csr_spmv(self, row_ptrs, col_idxs, values, x, out=None):
         raise NotImplementedError
 
-    def ell_spmv(self, gather_cols, values, x, out=None):
+    def ell_spmv(self, gather_cols, values, x, out=None, operand=None):
+        """ELL SpMV.  ``operand`` is an optional host buffer shaped like
+        ``values`` that receives each slot's gathered ``x`` entries."""
         raise NotImplementedError
 
-    def dia_spmv(self, spans, values, x, out=None, scratch=None):
+    def dia_spmv(self, spans, values, x, out=None, operand=None):
+        """DIA SpMV.  ``operand`` is an optional host buffer shaped like
+        ``values`` whose fringe positions hold zero and stay untouched."""
         raise NotImplementedError
 
     def dense_matvec(self, values, x, out=None):
@@ -197,7 +239,7 @@ class ArrayBackend:
 
 
 class NumpyBackend(ArrayBackend):
-    """Default host backend — verbatim the pre-seam NumPy statements."""
+    """Default host backend — the pre-seam NumPy statements, bit for bit."""
 
     name = "numpy"
     is_host = True
@@ -333,6 +375,7 @@ class NumpyBackend(ArrayBackend):
         return y
 
     # -- format kernels ------------------------------------------------
+    @_quiet
     def csr_spmv(self, row_ptrs, col_idxs, values, x, out=None):
         num_batch, nnz = values.shape
         num_rows = row_ptrs.shape[0] - 1
@@ -359,35 +402,43 @@ class NumpyBackend(ArrayBackend):
             out[:, empty] = 0.0
         return out
 
-    def ell_spmv(self, gather_cols, values, x, out=None):
-        num_batch = values.shape[0]
-        num_rows = values.shape[2]
-        if out is None:
-            out = np.zeros((num_batch, num_rows), dtype=values.dtype)
-        else:
-            out[...] = 0.0
-        for k in range(values.shape[1]):
-            out += values[:, k, :] * x[:, gather_cols[k]]
-        return out
+    @_quiet
+    def ell_spmv(self, gather_cols, values, x, out=None, operand=None):
+        if not _contractible(values, x, out):
+            out = _zeroed_out(values, out)
+            for k in range(values.shape[1]):
+                out += values[:, k, :] * x[:, gather_cols[k]]
+            return out
+        if operand is None:
+            operand = np.empty(values.shape, dtype=values.dtype)
+        # One gather for every slot: row b of the flat operand is
+        # x[b, gather_cols.ravel()], i.e. slot k's operand at [b, k, :].
+        # mode="clip" lets take write into the buffer directly ("raise"
+        # stages a copy); BatchEll validates the indices at construction.
+        np.take(x, gather_cols.reshape(-1), axis=1, mode="clip",
+                out=operand.reshape(values.shape[0], -1))
+        return np.einsum("bki,bki->bi", values, operand, out=out)
 
-    def dia_spmv(self, spans, values, x, out=None, scratch=None):
-        num_batch = values.shape[0]
-        num_rows = values.shape[2]
-        if out is None:
-            out = np.zeros((num_batch, num_rows), dtype=values.dtype)
-        else:
-            out[...] = 0.0
-        if scratch is None:
-            scratch = np.empty((num_batch, max(num_rows, x.shape[1])), dtype=values.dtype)
+    @_quiet
+    def dia_spmv(self, spans, values, x, out=None, operand=None):
+        if not _contractible(values, x, out):
+            out = _zeroed_out(values, out)
+            work = np.empty(out.shape, dtype=values.dtype)
+            for k, d, lo, hi in spans:
+                if lo < hi:
+                    w = work[:, : hi - lo]
+                    np.multiply(values[:, k, lo:hi], x[:, lo + d : hi + d], out=w)
+                    seg = out[:, lo:hi]
+                    np.add(seg, w, out=seg)
+            return out
+        if operand is None:
+            operand = np.zeros(values.shape, dtype=values.dtype)
         for k, d, lo, hi in spans:
-            if lo >= hi:
-                continue
-            w = scratch[:, : hi - lo]
-            np.multiply(values[:, k, lo:hi], x[:, lo + d : hi + d], out=w)
-            seg = out[:, lo:hi]
-            np.add(seg, w, out=seg)
-        return out
+            if lo < hi:
+                operand[:, k, lo:hi] = x[:, lo + d : hi + d]
+        return np.einsum("bki,bki->bi", values, operand, out=out)
 
+    @_quiet
     def dense_matvec(self, values, x, out=None):
         y = np.einsum("bij,bj->bi", values, x, optimize=True)
         if out is None:
@@ -395,6 +446,7 @@ class NumpyBackend(ArrayBackend):
         out[...] = y
         return out
 
+    @_quiet
     def dense_matvec_acc(self, values, x, work=None):
         return np.einsum("bij,bj->bi", values, x, optimize=True, out=work)
 
@@ -589,7 +641,7 @@ class JaxBackend(ArrayBackend):
         fn = self._jitted(("csr", num_rows), factory)
         return fn(values, x, cols, row_ids)
 
-    def ell_spmv(self, gather_cols, values, x, out=None):
+    def ell_spmv(self, gather_cols, values, x, out=None, operand=None):
         cols = self._pattern(
             ("ell", id(gather_cols)),
             gather_cols,
@@ -601,7 +653,7 @@ class JaxBackend(ArrayBackend):
         )
         return fn(values, x, cols)
 
-    def dia_spmv(self, spans, values, x, out=None, scratch=None):
+    def dia_spmv(self, spans, values, x, out=None, operand=None):
         num_rows = values.shape[2]
 
         def factory():

@@ -8,20 +8,29 @@ constants — and their SpMV kernels spend an indexed gather per stored entry
 to honour them.  DIA stores the shared sorted offset array ``(num_diags,)``
 once for the whole batch plus per-system diagonal value bands
 ``(num_batch, num_diags, num_rows)``, and its SpMV is **gather-free**: each
-diagonal ``d`` contributes through a contiguous shifted slice ::
+diagonal ``d`` reads ``x`` through a contiguous shifted slice ::
 
-    out[:, lo:hi] += values[:, k, lo:hi] * x[:, lo + d : hi + d]
+    operand[:, k, lo:hi] = x[:, lo + d : hi + d]
+    out[:, i] = sum_k values[:, k, i] * operand[:, k, i]
 
 with ``lo = max(0, -d)`` and ``hi = min(num_rows, num_cols - d)`` — no
-``col_idxs`` load, no fancy indexing, pure strided AXPYs.  This extends the
-paper's CSR-vs-ELL format study (Section IV-A) one step further in the
-direction Ginkgo's format portfolio points: when the access pattern is a
-compile-time constant, stop reading it from memory.
+``col_idxs`` load, no fancy indexing.  The host kernel copies each slice
+once into a reused operand buffer shaped like the values, then
+accumulates every row over its diagonals in one contraction: one pass per
+operand, like the paper's one-thread-per-row kernel that keeps each row's
+sum in a register, instead of a multiply pass and an add pass per
+diagonal.  The sum runs in diagonal order from zero, so the products are
+bit-identical to the per-diagonal ``out[:, lo:hi] += ...`` loop.  This
+extends the paper's CSR-vs-ELL format study (Section IV-A) one step
+further in the direction Ginkgo's format portfolio points: when the
+access pattern is a compile-time constant, stop reading it from memory.
 
 Band positions outside the matrix (the *fringe* of an off-diagonal: rows
 ``< lo`` or ``>= hi``) are stored as exactly ``0.0`` so every diagonal has
 uniform length — the DIA analogue of ELL's padding, and equally cheap for
-the stencil's small offsets.
+the stencil's small offsets.  The operand buffer's fringe is zeroed once,
+when it is allocated, and never written, so a fringe term adds ``+0.0``
+whatever ``x`` holds.
 
 Storage cost (extending the paper's Fig. 3 accounting)::
 
@@ -108,10 +117,11 @@ class BatchDia:
             fringe = self.fringe_mask()
             if fringe.any() and np.any(values[:, fringe] != 0.0):
                 raise InvalidFormatError("fringe positions must hold value 0.0")
-        # Lazily-allocated (num_batch, num_rows) scratch so apply() streams
-        # each diagonal's product through a reused buffer: no batch-sized
-        # temporaries per SpMV after the first (core/blas discipline).
-        self._work: np.ndarray | None = None
+        # Lazily-allocated operand buffer shaped like the values: apply()
+        # copies each diagonal's in-band slice of x into it and contracts
+        # it with the values in one pass.  Its fringe is zeroed at
+        # allocation and never written, so it stays zero across calls.
+        self._operand: np.ndarray | None = None
 
     # -- attributes ------------------------------------------------------
 
@@ -284,26 +294,23 @@ class BatchDia:
 
     # -- matrix-vector products ---------------------------------------------
 
-    def _scratch(self) -> np.ndarray:
-        if self._work is None:
-            self._work = np.empty(
-                (self.num_batch, max(self.num_rows, self.num_cols)),
-                dtype=self._values.dtype,
-            )
-        return self._work
-
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched gather-free SpMV ``out[k] = A[k] @ x[k]``.
 
-        One contiguous shifted-slice multiply-add per stored diagonal (9
-        for the XGC stencil), vectorised over batch x rows.  No index array
-        is read and no gather is issued: the diagonal structure *is* the
-        addressing.  ``x`` must not alias ``out``.
+        Each stored diagonal's in-band slice ``x[:, lo+d:hi+d]`` is copied
+        once into the operand buffer (9 contiguous copies for the XGC
+        stencil), then one contraction accumulates every row over its
+        diagonals.  No index array is read and no gather is issued: the
+        diagonal structure *is* the addressing.  ``x`` must not alias
+        ``out``.
         """
         self._shape.compatible_vector(x, "x")
         bk = backend_of(self._values, x)
-        scratch = self._scratch() if bk.is_host else None
-        return bk.dia_spmv(self._spans, self._values, x, out=out, scratch=scratch)
+        if bk.is_host and self._operand is None:
+            self._operand = np.zeros(self._values.shape, dtype=self._values.dtype)
+        return bk.dia_spmv(
+            self._spans, self._values, x, out=out, operand=self._operand
+        )
 
     def advanced_apply(
         self,

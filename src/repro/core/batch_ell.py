@@ -12,6 +12,13 @@ Padding positions carry the sentinel column index ``-1`` and a value of
 exactly ``0.0``; the SpMV kernel clamps the sentinel for the gather and the
 zero value annihilates the contribution, so no branching is needed.
 
+The host SpMV gathers every slot's ``x`` entries with one ``np.take`` into
+a reused operand buffer shaped like the values, then accumulates each row
+over its slots in one contraction — the paper's thread walking its row's
+slots with the sum in a register, rather than a gather, a multiply and an
+add pass (and two temporaries) per slot.  The sum runs in slot order from
+zero, so the products are bit-identical to the per-slot loop.
+
 Storage cost (paper, Section IV-A)::
 
     num_batch * (max_nnz_row * num_rows)   values (incl. padding)
@@ -83,7 +90,12 @@ class BatchEll:
         # Clamped gather indices, computed once: the SpMV gather reads these
         # every call, and re-deriving them per apply() would allocate and
         # re-scan the whole index array on the hottest loop in the library.
-        self._gather_cols = np.maximum(col_idxs, 0)
+        # Stored as intp so the gather does not convert them per call.
+        self._gather_cols = np.maximum(col_idxs, 0).astype(np.intp)
+        # Lazily-allocated operand buffer shaped like the values: apply()
+        # gathers every slot's x entries into it, then contracts it with
+        # the values in one pass.
+        self._operand: np.ndarray | None = None
 
     # -- attributes ------------------------------------------------------
 
@@ -245,16 +257,21 @@ class BatchEll:
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched SpMV ``out[k] = A[k] @ x[k]``.
 
-        One pass per ELL slot (``max_nnz_row`` passes — 9 for the XGC
-        stencil), each pass fully vectorised over batch × rows.  This is the
-        NumPy transcription of the paper's one-thread-per-row kernel: thread
-        ``i`` walks its row's slots sequentially while slot data for all rows
-        is contiguous.
+        One gather fills the operand buffer with every slot's ``x`` entries
+        (``max_nnz_row`` slots — 9 for the XGC stencil), then one
+        contraction accumulates each row over its slots in slot order.
+        This is the NumPy transcription of the paper's one-thread-per-row
+        kernel: thread ``i`` walks its row's slots sequentially, keeping
+        the sum in a register, while slot data for all rows is contiguous.
         """
         self._shape.compatible_vector(x, "x")
         bk = backend_of(self._values, x)
         # _gather_cols is pre-clamped (sentinel -> 0); value 0 kills it.
-        return bk.ell_spmv(self._gather_cols, self._values, x, out=out)
+        if bk.is_host and self._operand is None:
+            self._operand = np.empty(self._values.shape, dtype=self._values.dtype)
+        return bk.ell_spmv(
+            self._gather_cols, self._values, x, out=out, operand=self._operand
+        )
 
     def advanced_apply(
         self,

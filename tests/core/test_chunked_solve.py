@@ -11,6 +11,7 @@ including a ragged last chunk, by patching the private L2-size helper.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,29 @@ class TestFaultIsolation:
         np.testing.assert_array_equal(chunked.x[healthy], clean.x[healthy])
         assert (chunked.health[healthy] == SolverHealth.CONVERGED).all()
         np.testing.assert_array_equal(solver.last_health, chunked.health)
+
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("name", ["bicgstab", "pipelined_bicgstab", "cgs",
+                                      "richardson"])
+    def test_inf_lane_leaks_no_backend_warning(self, rng, monkeypatch, name,
+                                               fmt):
+        """The SpMV kernels meet 0 x Inf on an Inf-poisoned lane (x0 = 0
+        in the first residual); the health guards isolate that lane, so
+        no kernel warns the caller about it."""
+        dense = banded_dense(rng, contraction=True)
+        m = to_format(BatchCsr.from_dense(dense), fmt)
+        b = rng.standard_normal((NB, N))
+        inj = FaultInjector([FaultSpec("inf", system=5, rows=(3,))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, res = run(monkeypatch, name, inj.corrupt_matrix(m), b, None,
+                         CHUNK, preconditioner="identity")
+        leaked = [str(w.message) for w in caught
+                  if issubclass(w.category, RuntimeWarning)
+                  and w.filename.endswith("backend.py")]
+        assert leaked == []
+        assert res.health[5] != SolverHealth.CONVERGED
 
 
 class TestCandidateVerify:
